@@ -61,6 +61,93 @@ void epilogue_rows(float* yb, const float* resb, int out_c, int64_t pos,
   }
 }
 
+// Kept index set of one mask component: its explicit indices, or the
+// identity range [0, n) when the component is empty (= keep all).
+std::span<const int> kept_or_all(const std::vector<int>& kept,
+                                 const int* all, int n) {
+  return kept.empty() ? std::span<const int>(all, static_cast<size_t>(n))
+                      : std::span<const int>(kept);
+}
+
+// Column-tile width of one batch conv call: `tile` when it splits the
+// output grid, otherwise the whole grid as a single tile. Tiling splits
+// only independent GEMM output columns (per-column accumulation order is
+// untouched), so every width yields the same f32 values.
+int64_t tile_width(int64_t tile, int64_t pos) {
+  return tile > 0 && tile < pos ? tile : pos;
+}
+
+// Stores one tile row: dst[j] = src[j] (+ bias[oc] when bias is set).
+void store_tile_row(const float* src, float* dst, int64_t tw,
+                    const float* bias, int oc) {
+  if (bias != nullptr) {
+    scatter_bias_row(src, dst, tw, bias[oc]);
+  } else {
+    std::memcpy(dst, src, static_cast<size_t>(tw) * sizeof(float));
+  }
+}
+
+// Lowers output positions [p0, p0 + tw) of one sample into the
+// [patch x tw] panel `cols`, parallel across channel ranges (disjoint
+// rows).
+void lower_tile(const float* xb, const ConvGeom& g, int64_t p0, int64_t tw,
+                float* cols) {
+  obs::PhaseScope span(obs::Phase::kIm2col);
+  parallel_for(
+      0, g.in_c,
+      [&](int64_t c0, int64_t c1) {
+        im2col_range_pos(xb, g, static_cast<int>(c0), static_cast<int>(c1),
+                         p0, p0 + tw, cols, tw);
+      },
+      /*grain=*/1);
+}
+
+// Lowers output positions [p0, p0 + tw) of every group member side by
+// side: member s fills columns [s*tw, (s+1)*tw) of the [patch_k x gs*tw]
+// block `cols`, parallel across members.
+void gather_group_tile(const float* x_base, int64_t in_floats,
+                       const ConvGeom& g, std::span<const int> ch,
+                       std::span<const int> samples, int64_t p0, int64_t tw,
+                       float* cols) {
+  const int64_t ld = static_cast<int64_t>(samples.size()) * tw;
+  obs::PhaseScope span(obs::Phase::kGather);
+  parallel_for(
+      0, static_cast<int64_t>(samples.size()),
+      [&](int64_t s0, int64_t s1) {
+        for (int64_t s = s0; s < s1; ++s) {
+          const int b = samples[static_cast<size_t>(s)];
+          im2col_gather_pos_ld(x_base + static_cast<int64_t>(b) * in_floats,
+                               g, ch, p0, p0 + tw, cols + s * tw, ld);
+        }
+      },
+      /*grain=*/1);
+}
+
+// Stores one tile of a group's compacted [ok x gs*tw] output `y_sub`:
+// kept filter oi of member s lands in its output plane at columns
+// [p0, p0 + tw), bias fused into the copy, parallel across members.
+void scatter_group_tile(const float* y_sub, std::span<const int> oc_set,
+                        std::span<const int> samples, const float* bias,
+                        int64_t pos, int64_t p0, int64_t tw, float* y_base,
+                        int64_t out_floats) {
+  const int64_t ld = static_cast<int64_t>(samples.size()) * tw;
+  obs::PhaseScope span(obs::Phase::kScatter);
+  parallel_for(
+      0, static_cast<int64_t>(samples.size()),
+      [&](int64_t s0, int64_t s1) {
+        for (int64_t s = s0; s < s1; ++s) {
+          const int b = samples[static_cast<size_t>(s)];
+          float* yb = y_base + static_cast<int64_t>(b) * out_floats + p0;
+          for (size_t oi = 0; oi < oc_set.size(); ++oi) {
+            const int oc = oc_set[oi];
+            store_tile_row(y_sub + static_cast<int64_t>(oi) * ld + s * tw,
+                           yb + static_cast<int64_t>(oc) * pos, tw, bias, oc);
+          }
+        }
+      },
+      /*grain=*/1);
+}
+
 }  // namespace
 
 void fused_epilogue(float* yb, const float* resb, int out_c, int64_t pos,
@@ -166,14 +253,9 @@ int64_t conv_sample_masked(const float* xb, const ConvGeom& g, const float* w,
   const int64_t pos = g.out_positions();
   const int64_t kk = static_cast<int64_t>(g.k_h) * g.k_w;
 
-  const std::span<const int> ch =
-      m.channels.empty()
-          ? std::span<const int>(ids.channels, static_cast<size_t>(in_c))
-          : std::span<const int>(m.channels);
+  const std::span<const int> ch = kept_or_all(m.channels, ids.channels, in_c);
   const std::span<const int> oc_set =
-      m.out_channels.empty()
-          ? std::span<const int>(ids.out, static_cast<size_t>(out_c))
-          : std::span<const int>(m.out_channels);
+      kept_or_all(m.out_channels, ids.out, out_c);
   const int ck = static_cast<int>(ch.size());
   const int ok = static_cast<int>(oc_set.size());
   int64_t macs = 0;
@@ -184,16 +266,8 @@ int64_t conv_sample_masked(const float* xb, const ConvGeom& g, const float* w,
     // kept-filter weight rows into one GEMM.
     const int patch_k = ck * g.k_h * g.k_w;
     float* w_packed = ws.alloc_floats(static_cast<int64_t>(ok) * patch_k);
-    for (int oi = 0; oi < ok; ++oi) {
-      const float* src =
-          w + static_cast<int64_t>(oc_set[static_cast<size_t>(oi)]) * in_c * kk;
-      float* dst = w_packed + static_cast<int64_t>(oi) * patch_k;
-      for (int ci = 0; ci < ck; ++ci) {
-        const float* block =
-            src + static_cast<int64_t>(ch[static_cast<size_t>(ci)]) * kk;
-        std::copy(block, block + kk, dst + static_cast<int64_t>(ci) * kk);
-      }
-    }
+    pack_weight_panel_into(w, in_c, static_cast<int>(kk), ch, oc_set,
+                           /*spatial_layout=*/false, w_packed);
     float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * pos);
     im2col_gather(
         xb, g, ch,
@@ -239,24 +313,8 @@ int64_t conv_sample_masked(const float* xb, const ConvGeom& g, const float* w,
     // (and the scatter order below) are unchanged.
     float* w_packed = ws.alloc_floats(kk * ok * ck);
     float* y_sub = ws.alloc_floats(kk * static_cast<int64_t>(ok) * pk);
-    for (int ky = 0; ky < g.k_h; ++ky) {
-      for (int kx = 0; kx < g.k_w; ++kx) {
-        // W_k[oi][ci] = weight[oc_set[oi], ch[ci], ky, kx].
-        const int64_t off = static_cast<int64_t>(ky) * g.k_w + kx;
-        for (int oi = 0; oi < ok; ++oi) {
-          const float* src =
-              w +
-              (static_cast<int64_t>(oc_set[static_cast<size_t>(oi)]) * in_c) *
-                  kk +
-              off;
-          float* dst = w_packed + (off * ok + oi) * ck;
-          for (int ci = 0; ci < ck; ++ci) {
-            dst[ci] =
-                src[static_cast<int64_t>(ch[static_cast<size_t>(ci)]) * kk];
-          }
-        }
-      }
-    }
+    pack_weight_panel_into(w, in_c, static_cast<int>(kk), ch, oc_set,
+                           /*spatial_layout=*/true, w_packed);
     gemm_nn(static_cast<int>(kk) * ok, pk, ck, 1.f, w_packed, cols, 0.f,
             y_sub, &ws);
     for (int ky = 0; ky < g.k_h; ++ky) {
@@ -552,83 +610,36 @@ int64_t conv_batch_dense(const float* x_base, int64_t in_floats,
                          int64_t out_floats, Workspace& ws, int64_t tile) {
   const int64_t patch = g.patch_rows();
   const int64_t pos = g.out_positions();
-  if (tile > 0 && tile < pos) {
-    // Spatially-tiled regime: lower a cache-sized [patch x tile] panel,
-    // run the GEMM into a [out_c x tile] tile output, store that tile's
-    // columns (bias fused into the copy), then reuse the panel for the
-    // next position range. Per output element the GEMM accumulates in
-    // ascending-k order regardless of the column count and the stored
-    // value is src + bias either way, so the result is bitwise identical
-    // to the untiled path.
-    const Workspace::Mark scratch = ws.mark();
-    float* cols = ws.alloc_floats(patch * tile);
-    float* y_tile = ws.alloc_floats(static_cast<int64_t>(out_c) * tile);
-    for (int b = 0; b < n; ++b) {
-      const float* xb = x_base + static_cast<int64_t>(b) * in_floats;
-      float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-      for (int64_t p0 = 0; p0 < pos; p0 += tile) {
-        obs::PhaseScope tile_span(obs::Phase::kTile);
-        const int64_t tw = std::min(tile, pos - p0);
-        {
-          obs::PhaseScope span(obs::Phase::kIm2col);
-          parallel_for(
-              0, g.in_c,
-              [&](int64_t c0, int64_t c1) {
-                im2col_range_pos(xb, g, static_cast<int>(c0),
-                                 static_cast<int>(c1), p0, p0 + tw, cols,
-                                 tw);
-              },
-              /*grain=*/1);
-        }
-        {
-          obs::PhaseScope span(obs::Phase::kGemm);
-          gemm_nn(out_c, static_cast<int>(tw), static_cast<int>(patch), 1.f,
-                  w, cols, 0.f, y_tile, &ws);
-        }
-        {
-          obs::PhaseScope span(obs::Phase::kScatter);
-          for (int oc = 0; oc < out_c; ++oc) {
-            const float* src = y_tile + static_cast<int64_t>(oc) * tw;
-            float* dst = yb + static_cast<int64_t>(oc) * pos + p0;
-            if (bias != nullptr) {
-              scatter_bias_row(src, dst, tw, bias[oc]);
-            } else {
-              std::memcpy(dst, src, static_cast<size_t>(tw) * sizeof(float));
-            }
-          }
-        }
-      }
-    }
-    ws.rewind(scratch);
-    return static_cast<int64_t>(out_c) * pos * patch * n;
-  }
+  const int64_t tile_w = tile_width(tile, pos);
   const Workspace::Mark scratch = ws.mark();
-  // One shared im2col buffer (the arena footprint of the pre-batched
-  // path): each sample's lowering parallelizes across CHANNEL ranges
-  // into disjoint rows, then its GEMM runs straight into the output (row
-  // panels parallelize internally), so the batch gains parallelism
-  // without an n-times scratch blowup or a restaging copy.
-  float* cols = ws.alloc_floats(patch * pos);
+  // One shared [patch x tile] lowering panel, refilled per sample and
+  // tile. A full-width tile's GEMM runs straight into the output slot and
+  // the bias is added in place; a narrower one runs into a [out_c x tile]
+  // staging tile whose columns are stored (bias fused into the copy)
+  // before the next tile is lowered. The stored value is src + bias
+  // either way.
+  float* cols = ws.alloc_floats(patch * tile_w);
+  float* y_tile = tile_w < pos ? ws.alloc_floats(out_c * tile_w) : nullptr;
   for (int b = 0; b < n; ++b) {
     const float* xb = x_base + static_cast<int64_t>(b) * in_floats;
-    {
-      obs::PhaseScope span(obs::Phase::kIm2col);
-      parallel_for(
-          0, g.in_c,
-          [&](int64_t c0, int64_t c1) {
-            im2col_range(xb, g, static_cast<int>(c0), static_cast<int>(c1),
-                         cols);
-          },
-          /*grain=*/1);
-    }
     float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-    {
-      obs::PhaseScope span(obs::Phase::kGemm);
-      gemm_nn(out_c, static_cast<int>(pos), static_cast<int>(patch), 1.f, w,
-              cols, 0.f, yb, &ws);
-      if (bias != nullptr) {
-        for (int oc = 0; oc < out_c; ++oc) {
-          add_bias_row(yb + static_cast<int64_t>(oc) * pos, pos, bias[oc]);
+    for (int64_t p0 = 0; p0 < pos; p0 += tile_w) {
+      obs::PhaseScope tile_span(obs::Phase::kTile);
+      const int64_t tw = std::min(tile_w, pos - p0);
+      lower_tile(xb, g, p0, tw, cols);
+      {
+        obs::PhaseScope span(obs::Phase::kGemm);
+        gemm_nn(out_c, static_cast<int>(tw), static_cast<int>(patch), 1.f, w,
+                cols, 0.f, y_tile != nullptr ? y_tile : yb, &ws);
+      }
+      obs::PhaseScope span(obs::Phase::kScatter);
+      for (int oc = 0; oc < out_c; ++oc) {
+        float* row = yb + static_cast<int64_t>(oc) * pos + p0;
+        if (y_tile != nullptr) {
+          store_tile_row(y_tile + static_cast<int64_t>(oc) * tw, row, tw,
+                         bias, oc);
+        } else if (bias != nullptr) {
+          add_bias_row(row, tw, bias[oc]);
         }
       }
     }
@@ -646,80 +657,31 @@ int64_t conv_batch_dense_i8(const float* x_base, int64_t in_floats,
   const int64_t pos = g.out_positions();
   const int64_t p4 = int8_align4(patch);
   AD_CHECK_EQ(p4, qw.row_stride);
-  if (tile > 0 && tile < pos) {
-    // Tiled int8 regime: lower + quantize one [patch x tile] panel at a
-    // time; the igemm writes its dequantized tile straight into the
-    // output slot (ldy = pos). The activation scale is per tile.
-    const Workspace::Mark scratch = ws.mark();
-    float* cols = ws.alloc_floats(patch * tile);
-    uint8_t* qcols = ws.alloc<uint8_t>(p4 * tile);
-    for (int b = 0; b < n; ++b) {
-      const float* xb = x_base + static_cast<int64_t>(b) * in_floats;
-      float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-      for (int64_t p0 = 0; p0 < pos; p0 += tile) {
-        obs::PhaseScope tile_span(obs::Phase::kTile);
-        const int64_t tw = std::min(tile, pos - p0);
-        {
-          obs::PhaseScope span(obs::Phase::kIm2col);
-          parallel_for(
-              0, g.in_c,
-              [&](int64_t c0, int64_t c1) {
-                im2col_range_pos(xb, g, static_cast<int>(c0),
-                                 static_cast<int>(c1), p0, p0 + tw, cols,
-                                 tw);
-              },
-              /*grain=*/1);
-        }
-        float sa;
-        {
-          obs::PhaseScope span(obs::Phase::kQuant);
-          sa = quantize_activations(cols, patch, tw, qcols);
-        }
-        {
-          obs::PhaseScope span(obs::Phase::kGemm);
-          igemm_u8s8_dequant(out_c, tw, p4, qw.q.data(), qw.row_stride,
-                             qcols, qw.wsum.data(), qw.scale.data(), sa,
-                             yb + p0, pos);
-          if (bias != nullptr) {
-            for (int oc = 0; oc < out_c; ++oc) {
-              add_bias_row(yb + static_cast<int64_t>(oc) * pos + p0, tw,
-                           bias[oc]);
-            }
-          }
-        }
-      }
-    }
-    ws.rewind(scratch);
-    return static_cast<int64_t>(out_c) * pos * patch * n;
-  }
+  const int64_t tile_w = tile_width(tile, pos);
   const Workspace::Mark scratch = ws.mark();
-  float* cols = ws.alloc_floats(patch * pos);
-  uint8_t* qcols = ws.alloc<uint8_t>(p4 * pos);
+  // Lower + quantize one [patch x tile] panel at a time; the igemm writes
+  // its dequantized tile straight into the output slot (ldy = pos).
+  float* cols = ws.alloc_floats(patch * tile_w);
+  uint8_t* qcols = ws.alloc<uint8_t>(p4 * tile_w);
   for (int b = 0; b < n; ++b) {
     const float* xb = x_base + static_cast<int64_t>(b) * in_floats;
-    {
-      obs::PhaseScope span(obs::Phase::kIm2col);
-      parallel_for(
-          0, g.in_c,
-          [&](int64_t c0, int64_t c1) {
-            im2col_range(xb, g, static_cast<int>(c0), static_cast<int>(c1),
-                         cols);
-          },
-          /*grain=*/1);
-    }
-    float sa;
-    {
-      obs::PhaseScope span(obs::Phase::kQuant);
-      sa = quantize_activations(cols, patch, pos, qcols);
-    }
     float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-    {
+    for (int64_t p0 = 0; p0 < pos; p0 += tile_w) {
+      obs::PhaseScope tile_span(obs::Phase::kTile);
+      const int64_t tw = std::min(tile_w, pos - p0);
+      lower_tile(xb, g, p0, tw, cols);
+      float sa;
+      {
+        obs::PhaseScope span(obs::Phase::kQuant);
+        sa = quantize_activations(cols, patch, tw, qcols);
+      }
       obs::PhaseScope span(obs::Phase::kGemm);
-      igemm_u8s8_dequant(out_c, pos, p4, qw.q.data(), qw.row_stride, qcols,
-                         qw.wsum.data(), qw.scale.data(), sa, yb, pos);
+      igemm_u8s8_dequant(out_c, tw, p4, qw.q.data(), qw.row_stride, qcols,
+                         qw.wsum.data(), qw.scale.data(), sa, yb + p0, pos);
       if (bias != nullptr) {
         for (int oc = 0; oc < out_c; ++oc) {
-          add_bias_row(yb + static_cast<int64_t>(oc) * pos, pos, bias[oc]);
+          add_bias_row(yb + static_cast<int64_t>(oc) * pos + p0, tw,
+                       bias[oc]);
         }
       }
     }
@@ -739,25 +701,18 @@ int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
                              int64_t tile) {
   AD_CHECK(m.positions.empty())
       << " spatial-masked groups run the f32 shift-GEMM fallback";
-  const int in_c = g.in_c;
   const int64_t pos = g.out_positions();
   const int64_t kk = static_cast<int64_t>(g.k_h) * g.k_w;
   const int gs = static_cast<int>(samples.size());
   AD_CHECK_GT(gs, 0);
 
   const std::span<const int> ch =
-      m.channels.empty()
-          ? std::span<const int>(ids.channels, static_cast<size_t>(in_c))
-          : std::span<const int>(m.channels);
+      kept_or_all(m.channels, ids.channels, g.in_c);
   const std::span<const int> oc_set =
-      m.out_channels.empty()
-          ? std::span<const int>(ids.out, static_cast<size_t>(out_c))
-          : std::span<const int>(m.out_channels);
-  const int ck = static_cast<int>(ch.size());
+      kept_or_all(m.out_channels, ids.out, out_c);
   const int ok = static_cast<int>(oc_set.size());
-  const int patch_k = ck * static_cast<int>(kk);
+  const int patch_k = static_cast<int>(ch.size()) * static_cast<int>(kk);
   const int64_t p4 = int8_align4(patch_k);
-  const int64_t ldc = static_cast<int64_t>(gs) * pos;
 
   const Workspace::Mark per_group = ws.mark();
   Int8Panel panel;
@@ -776,123 +731,32 @@ int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
       panel = {qdst, wsum, scale};
     }
   }
-  if (tile > 0 && tile < pos) {
-    // Spatially-tiled group: each tile's compacted B matrix is
-    // [patch_k x gs*tw] — every member's gathered tile columns side by
-    // side — quantized per tile and consumed by one igemm whose
-    // dequantized tile output is scattered before the next tile is
-    // lowered.
-    const int64_t ldt = static_cast<int64_t>(gs) * tile;
-    float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ldt);
-    uint8_t* qcols = ws.alloc<uint8_t>(p4 * ldt);
-    float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
-    for (int64_t p0 = 0; p0 < pos; p0 += tile) {
-      obs::PhaseScope tile_span(obs::Phase::kTile);
-      const int64_t tw = std::min(tile, pos - p0);
-      const int64_t ldc_t = static_cast<int64_t>(gs) * tw;
-      {
-        obs::PhaseScope span(obs::Phase::kGather);
-        parallel_for(
-            0, gs,
-            [&](int64_t s0, int64_t s1) {
-              for (int64_t s = s0; s < s1; ++s) {
-                const int b = samples[static_cast<size_t>(s)];
-                im2col_gather_pos_ld(
-                    x_base + static_cast<int64_t>(b) * in_floats, g, ch, p0,
-                    p0 + tw, cols + s * tw, ldc_t);
-              }
-            },
-            /*grain=*/1);
-      }
-      float sa;
-      {
-        obs::PhaseScope span(obs::Phase::kQuant);
-        sa = quantize_activations(cols, patch_k, ldc_t, qcols);
-      }
-      {
-        obs::PhaseScope span(obs::Phase::kGemm);
-        igemm_u8s8_dequant(ok, ldc_t, p4, panel.panel, p4, qcols, panel.wsum,
-                           panel.scale, sa, y_sub, ldc_t);
-      }
-      {
-        obs::PhaseScope span(obs::Phase::kScatter);
-        parallel_for(
-            0, gs,
-            [&](int64_t s0, int64_t s1) {
-              for (int64_t s = s0; s < s1; ++s) {
-                const int b = samples[static_cast<size_t>(s)];
-                float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-                for (int oi = 0; oi < ok; ++oi) {
-                  const int oc = oc_set[static_cast<size_t>(oi)];
-                  const float* src =
-                      y_sub + static_cast<int64_t>(oi) * ldc_t + s * tw;
-                  float* dst = yb + static_cast<int64_t>(oc) * pos + p0;
-                  if (bias != nullptr) {
-                    scatter_bias_row(src, dst, tw, bias[oc]);
-                  } else {
-                    std::memcpy(dst, src,
-                                static_cast<size_t>(tw) * sizeof(float));
-                  }
-                }
-              }
-            },
-            /*grain=*/1);
-      }
+  // Each tile's compacted B matrix is [patch_k x gs*tw] — every member's
+  // gathered tile columns side by side — quantized as one block and
+  // consumed by one igemm whose dequantized output is scattered before
+  // the next tile is lowered.
+  const int64_t tile_w = tile_width(tile, pos);
+  const int64_t ld_max = static_cast<int64_t>(gs) * tile_w;
+  float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ld_max);
+  uint8_t* qcols = ws.alloc<uint8_t>(p4 * ld_max);
+  float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ld_max);
+  for (int64_t p0 = 0; p0 < pos; p0 += tile_w) {
+    obs::PhaseScope tile_span(obs::Phase::kTile);
+    const int64_t tw = std::min(tile_w, pos - p0);
+    const int64_t ld = static_cast<int64_t>(gs) * tw;
+    gather_group_tile(x_base, in_floats, g, ch, samples, p0, tw, cols);
+    float sa;
+    {
+      obs::PhaseScope span(obs::Phase::kQuant);
+      sa = quantize_activations(cols, patch_k, ld, qcols);
     }
-    ws.rewind(per_group);
-    return static_cast<int64_t>(ok) * pos * patch_k * gs;
-  }
-  float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ldc);
-  const std::span<const int> all_pos(ids.positions,
-                                     static_cast<size_t>(pos));
-  {
-    obs::PhaseScope span(obs::Phase::kGather);
-    parallel_for(
-        0, gs,
-        [&](int64_t s0, int64_t s1) {
-          for (int64_t s = s0; s < s1; ++s) {
-            const int b = samples[static_cast<size_t>(s)];
-            im2col_gather_ld(x_base + static_cast<int64_t>(b) * in_floats,
-                             g, ch, all_pos, cols + s * pos, ldc);
-          }
-        },
-        /*grain=*/1);
-  }
-  uint8_t* qcols = ws.alloc<uint8_t>(p4 * ldc);
-  float sa;
-  {
-    obs::PhaseScope span(obs::Phase::kQuant);
-    sa = quantize_activations(cols, patch_k, ldc, qcols);
-  }
-  float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldc);
-  {
-    obs::PhaseScope span(obs::Phase::kGemm);
-    igemm_u8s8_dequant(ok, ldc, p4, panel.panel, p4, qcols, panel.wsum,
-                       panel.scale, sa, y_sub, ldc);
-  }
-  {
-    obs::PhaseScope span(obs::Phase::kScatter);
-    parallel_for(
-        0, gs,
-        [&](int64_t s0, int64_t s1) {
-          for (int64_t s = s0; s < s1; ++s) {
-            const int b = samples[static_cast<size_t>(s)];
-            float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-            for (int oi = 0; oi < ok; ++oi) {
-              const int oc = oc_set[static_cast<size_t>(oi)];
-              const float* src =
-                  y_sub + static_cast<int64_t>(oi) * ldc + s * pos;
-              float* dst = yb + static_cast<int64_t>(oc) * pos;
-              if (bias != nullptr) {
-                scatter_bias_row(src, dst, pos, bias[oc]);
-              } else {
-                std::memcpy(dst, src,
-                            static_cast<size_t>(pos) * sizeof(float));
-              }
-            }
-          }
-        },
-        /*grain=*/1);
+    {
+      obs::PhaseScope span(obs::Phase::kGemm);
+      igemm_u8s8_dequant(ok, ld, p4, panel.panel, p4, qcols, panel.wsum,
+                         panel.scale, sa, y_sub, ld);
+    }
+    scatter_group_tile(y_sub, oc_set, samples, bias, pos, p0, tw, y_base,
+                       out_floats);
   }
   ws.rewind(per_group);
   return static_cast<int64_t>(ok) * pos * patch_k * gs;
@@ -912,26 +776,19 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
   const int gs = static_cast<int>(samples.size());
   AD_CHECK_GT(gs, 0);
 
-  const std::span<const int> ch =
-      m.channels.empty()
-          ? std::span<const int>(ids.channels, static_cast<size_t>(in_c))
-          : std::span<const int>(m.channels);
+  const std::span<const int> ch = kept_or_all(m.channels, ids.channels, in_c);
   const std::span<const int> oc_set =
-      m.out_channels.empty()
-          ? std::span<const int>(ids.out, static_cast<size_t>(out_c))
-          : std::span<const int>(m.out_channels);
+      kept_or_all(m.out_channels, ids.out, out_c);
   const int ck = static_cast<int>(ch.size());
   const int ok = static_cast<int>(oc_set.size());
   int64_t macs = 0;
 
   const Workspace::Mark per_group = ws.mark();
   if (m.positions.empty()) {
-    // Channel / filter skipping: ONE compacted GEMM for the whole group.
-    // Every member's kept-channel patches occupy a column slice of the
-    // shared B matrix, and the kept-filter weight panel is packed once
-    // (or reused from the cross-pass cache).
+    // Channel / filter skipping: ONE compacted GEMM per tile for the whole
+    // group (see conv_group_masked_i8 for the tile shape). The kept-filter
+    // weight panel is packed once (or reused from the cross-pass cache).
     const int patch_k = ck * g.k_h * g.k_w;
-    const int64_t ldc = static_cast<int64_t>(gs) * pos;
     const float* w_panel;
     {
       obs::PhaseScope span(obs::Phase::kPack);
@@ -946,112 +803,22 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
         w_panel = panel;
       }
     }
-    if (tile > 0 && tile < pos) {
-      // Spatially-tiled group (see conv_group_masked_i8 for the shape):
-      // per-column GEMM accumulation order is unchanged and the scatter
-      // stores the same per-element expression, so the tiled group output
-      // is bitwise identical to the untiled one.
-      const int64_t ldt = static_cast<int64_t>(gs) * tile;
-      float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ldt);
-      float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
-      for (int64_t p0 = 0; p0 < pos; p0 += tile) {
-        obs::PhaseScope tile_span(obs::Phase::kTile);
-        const int64_t tw = std::min(tile, pos - p0);
-        const int64_t ldc_t = static_cast<int64_t>(gs) * tw;
-        {
-          obs::PhaseScope span(obs::Phase::kGather);
-          parallel_for(
-              0, gs,
-              [&](int64_t s0, int64_t s1) {
-                for (int64_t s = s0; s < s1; ++s) {
-                  const int b = samples[static_cast<size_t>(s)];
-                  im2col_gather_pos_ld(
-                      x_base + static_cast<int64_t>(b) * in_floats, g, ch,
-                      p0, p0 + tw, cols + s * tw, ldc_t);
-                }
-              },
-              /*grain=*/1);
-        }
-        {
-          obs::PhaseScope span(obs::Phase::kGemm);
-          gemm_nn(ok, static_cast<int>(ldc_t), patch_k, 1.f, w_panel, cols,
-                  0.f, y_sub, &ws);
-        }
-        {
-          obs::PhaseScope span(obs::Phase::kScatter);
-          parallel_for(
-              0, gs,
-              [&](int64_t s0, int64_t s1) {
-                for (int64_t s = s0; s < s1; ++s) {
-                  const int b = samples[static_cast<size_t>(s)];
-                  float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-                  for (int oi = 0; oi < ok; ++oi) {
-                    const int oc = oc_set[static_cast<size_t>(oi)];
-                    const float* src =
-                        y_sub + static_cast<int64_t>(oi) * ldc_t + s * tw;
-                    float* dst = yb + static_cast<int64_t>(oc) * pos + p0;
-                    if (bias != nullptr) {
-                      scatter_bias_row(src, dst, tw, bias[oc]);
-                    } else {
-                      std::memcpy(dst, src,
-                                  static_cast<size_t>(tw) * sizeof(float));
-                    }
-                  }
-                }
-              },
-              /*grain=*/1);
-        }
+    const int64_t tile_w = tile_width(tile, pos);
+    const int64_t ld_max = static_cast<int64_t>(gs) * tile_w;
+    float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ld_max);
+    float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ld_max);
+    for (int64_t p0 = 0; p0 < pos; p0 += tile_w) {
+      obs::PhaseScope tile_span(obs::Phase::kTile);
+      const int64_t tw = std::min(tile_w, pos - p0);
+      const int64_t ld = static_cast<int64_t>(gs) * tw;
+      gather_group_tile(x_base, in_floats, g, ch, samples, p0, tw, cols);
+      {
+        obs::PhaseScope span(obs::Phase::kGemm);
+        gemm_nn(ok, static_cast<int>(ld), patch_k, 1.f, w_panel, cols, 0.f,
+                y_sub, &ws);
       }
-      ws.rewind(per_group);
-      return static_cast<int64_t>(ok) * pos * patch_k * gs;
-    }
-    float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ldc);
-    const std::span<const int> all_pos(ids.positions,
-                                       static_cast<size_t>(pos));
-    {
-      obs::PhaseScope span(obs::Phase::kGather);
-      parallel_for(
-          0, gs,
-          [&](int64_t s0, int64_t s1) {
-            for (int64_t s = s0; s < s1; ++s) {
-              const int b = samples[static_cast<size_t>(s)];
-              im2col_gather_ld(x_base + static_cast<int64_t>(b) * in_floats,
-                               g, ch, all_pos, cols + s * pos, ldc);
-            }
-          },
-          /*grain=*/1);
-    }
-    float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldc);
-    {
-      obs::PhaseScope span(obs::Phase::kGemm);
-      gemm_nn(ok, static_cast<int>(ldc), patch_k, 1.f, w_panel, cols, 0.f,
-              y_sub, &ws);
-    }
-    {
-      obs::PhaseScope span(obs::Phase::kScatter);
-      parallel_for(
-          0, gs,
-          [&](int64_t s0, int64_t s1) {
-            for (int64_t s = s0; s < s1; ++s) {
-              const int b = samples[static_cast<size_t>(s)];
-              float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-              for (int oi = 0; oi < ok; ++oi) {
-                const int oc = oc_set[static_cast<size_t>(oi)];
-                const float* src = y_sub + static_cast<int64_t>(oi) * ldc +
-                                   s * pos;
-                float* dst = yb + static_cast<int64_t>(oc) * pos;
-                if (bias != nullptr) {
-                  // Fused copy+bias: one pass over the row, same value per
-                  // element as copy-then-add.
-                  scatter_bias_row(src, dst, pos, bias[oc]);
-                } else {
-                  std::memcpy(dst, src,
-                              static_cast<size_t>(pos) * sizeof(float));
-                }
-              }
-            }
-          },
-          /*grain=*/1);
+      scatter_group_tile(y_sub, oc_set, samples, bias, pos, p0, tw, y_base,
+                         out_floats);
     }
     macs = static_cast<int64_t>(ok) * pos * patch_k * gs;
   } else {
@@ -1183,46 +950,31 @@ void shortcut_subsample_into(const float* x, int n, int in_c, int h, int w,
   }
 }
 
-size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c, int n,
+size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c,
                                       bool int8_regime, int64_t tile) {
-  // Batch-independent: one shared im2col buffer plus one sample's GEMM
-  // panels (samples run sequentially between the same marks).
-  (void)n;
+  // Batch-independent: one shared lowering panel plus one tile's GEMM
+  // panels (samples and tiles run sequentially between the same marks).
+  // gemm_nn_scratch_bytes is monotone nondecreasing in n, so the full
+  // tile bounds the ragged tail.
   const int64_t patch = g.patch_rows();
   const int64_t pos = g.out_positions();
-  if (tile > 0 && tile < pos) {
-    // Tiled regime: the tile panel + tile output + the GEMM's panels at
-    // tile width (gemm_nn_scratch_bytes is monotone nondecreasing in n,
-    // so the full tile bounds the ragged tail).
-    size_t worst =
-        Workspace::align_up(static_cast<size_t>(patch) * tile *
-                            sizeof(float)) +
-        Workspace::align_up(static_cast<size_t>(out_c) * tile *
-                            sizeof(float)) +
-        gemm_nn_scratch_bytes(out_c, static_cast<int>(tile),
-                              static_cast<int>(patch));
-    if (int8_regime) {
-      const size_t i8_path =
-          Workspace::align_up(static_cast<size_t>(patch) * tile *
-                              sizeof(float)) +
-          Workspace::align_up(static_cast<size_t>(int8_align4(patch)) *
-                              tile);
-      worst = std::max(worst, i8_path);
-    }
-    return worst;
-  }
-  size_t worst = Workspace::align_up(static_cast<size_t>(patch) * pos *
-                                     sizeof(float)) +
-                 gemm_nn_scratch_bytes(out_c, static_cast<int>(pos),
+  const int64_t tw = tile_width(tile, pos);
+  const size_t cols =
+      Workspace::align_up(static_cast<size_t>(patch) * tw * sizeof(float));
+  // Only a tile narrower than the grid stages its GEMM output.
+  const size_t y_tile =
+      tw < pos ? Workspace::align_up(static_cast<size_t>(out_c) * tw *
+                                     sizeof(float))
+               : 0;
+  size_t worst = cols + y_tile +
+                 gemm_nn_scratch_bytes(out_c, static_cast<int>(tw),
                                        static_cast<int>(patch));
   if (int8_regime) {
-    // Int8 dense path: the shared f32 im2col buffer plus the quantized
-    // column block (the igemm writes straight into the output slot and
-    // needs no pack panels).
+    // Int8 dense path: the f32 panel plus its quantized copy (the igemm
+    // writes straight into the output slot and needs no pack panels).
     const size_t i8_path =
-        Workspace::align_up(static_cast<size_t>(patch) * pos *
-                            sizeof(float)) +
-        Workspace::align_up(static_cast<size_t>(int8_align4(patch)) * pos);
+        cols + Workspace::align_up(static_cast<size_t>(int8_align4(patch)) *
+                                   tw);
     worst = std::max(worst, i8_path);
   }
   return worst;
@@ -1234,10 +986,8 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
   const int64_t patch = g.patch_rows();
   const int64_t pos = g.out_positions();
   const int64_t kk = static_cast<int64_t>(g.k_h) * g.k_w;
-  const bool tiled = tile > 0 && tile < pos;
-  // The tiled channel path allocates its buffers at the full-tile group
-  // width gs * tile; untiled at gs * pos.
-  const int64_t ldc = static_cast<int64_t>(gs) * (tiled ? tile : pos);
+  // The channel path allocates its buffers at the full-tile group width.
+  const int64_t ldc = static_cast<int64_t>(gs) * tile_width(tile, pos);
   // Channel/filter path with full index sets (the weight panel lives in
   // the cross-pass cache, not the arena).
   size_t channel_path =

@@ -259,21 +259,24 @@ Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
                                std::span<const int> oc,
                                WeightPanelCache& cache);
 
-// Dense batch step: one shared im2col buffer; each sample's lowering
-// parallelizes across channel ranges, then its GEMM runs straight into
-// its output slot (parallelizing internally) and `bias` is applied. x/y
-// bases are batch-major with the given per-sample strides. Bitwise
+// Column tiles. Every batch kernel below walks the output positions in
+// column tiles of width `tile` when 0 < tile < out_positions(), and
+// otherwise as ONE tile of width out_positions() through the same loop.
+// Per tile, the lowering fills a [patch x tile] panel (so im2col scratch
+// is O(patch * tile) instead of O(patch * out_positions)), the GEMM
+// consumes it, and the tile's output columns are stored before the next
+// tile is lowered. Tiling splits only independent GEMM output columns
+// (per-column accumulation order untouched) and the per-element bias
+// expression is unchanged, so f32 output is bitwise identical at every
+// tile width.
+
+// Dense batch step: one shared lowering panel; each sample's tile
+// lowering parallelizes across channel ranges, then its GEMM
+// parallelizes internally and `bias` is applied. A full-width tile's
+// GEMM writes straight into the output slot; a narrower one stages in a
+// [out_c x tile] buffer whose columns are stored with the bias fused.
+// x/y bases are batch-major with the given per-sample strides. Bitwise
 // identical to n conv_sample_dense calls. Returns MACs.
-//
-// `tile` > 0 enables spatially-tiled execution: output positions are
-// processed in column tiles of that width — lowering fills a cache-sized
-// [patch x tile] panel, the GEMM consumes it into a [out_c x tile] tile
-// output, and the tile's columns are stored (bias fused) before the next
-// tile is lowered — so im2col scratch is O(patch * tile) instead of
-// O(patch * out_positions). Tiling splits only independent GEMM output
-// columns (per-column accumulation order untouched) and the per-element
-// bias expression is unchanged, so the f32 output is bitwise identical to
-// the untiled path. tile <= 0 or >= out_positions() runs untiled.
 int64_t conv_batch_dense(const float* x_base, int64_t in_floats,
                          const ConvGeom& g, const float* w, int out_c,
                          const float* bias, int n, float* y_base,
@@ -298,11 +301,10 @@ int64_t conv_batch_dense(const float* x_base, int64_t in_floats,
 //     internal parallel_fors run inline under the nested-dispatch guard.
 //     Distinct groups cover distinct samples, so outputs are disjoint and
 //     the result is bitwise identical to sequential group order.
-// `tile` > 0 tiles the CHANNEL/FILTER path over output positions (the
-// compacted B matrix becomes [patch_k x group*tile] per tile; f32 output
-// stays bitwise identical — see conv_batch_dense). The spatial shift-GEMM
-// path ignores `tile`: its scatter-add accumulates across kernel offsets,
-// so column tiling would not keep it a pure output-column split.
+// The CHANNEL/FILTER path runs in column tiles (the compacted B matrix
+// is [patch_k x group*tile] per tile). The spatial shift-GEMM path
+// ignores `tile`: its scatter-add accumulates across kernel offsets, so
+// column tiling would not keep it a pure output-column split.
 int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           const ConvGeom& g, const float* w, int out_c,
                           const float* bias, const ConvRuntimeMask& m,
@@ -312,17 +314,16 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           int64_t out_floats, Workspace& ws,
                           int64_t tile = 0);
 
-// Int8-regime dense batch step: im2col (f32, shared buffer) -> per-sample
-// dynamic activation quantization -> u8xs8 igemm with dequant fused into
-// the store (straight into the output slot) -> bias rows. Same call
-// contract as conv_batch_dense otherwise. Returns the LOGICAL MACs (the
-// f32-equivalent count, so cost accounting is regime-comparable).
-// `tile` > 0 tiles as in conv_batch_dense. The activation scale is then
-// computed per TILE rather than per tensor (each tile panel is quantized
-// independently), so tiled int8 output is not bitwise identical to the
-// untiled int8 path — it stays within the same relative-error budget
-// against f32 (per-tile scales are at least as tight as the per-tensor
-// one).
+// Int8-regime dense batch step: per tile, im2col (f32, shared panel) ->
+// dynamic activation quantization of that panel -> u8xs8 igemm with
+// dequant fused into the store (straight into the output slot) -> bias
+// rows. Same call contract as conv_batch_dense otherwise. Returns the
+// LOGICAL MACs (the f32-equivalent count, so cost accounting is
+// regime-comparable). One activation scale covers one tile, so a
+// full-width tile quantizes per sample, and a narrower tile's int8 output
+// is not bitwise identical to the full-width one — it stays within the
+// same relative-error budget against f32 (per-tile scales are at least as
+// tight as the per-sample one).
 int64_t conv_batch_dense_i8(const float* x_base, int64_t in_floats,
                             const ConvGeom& g, const Int8ConvWeights& qw,
                             int out_c, const float* bias, int n,
@@ -336,10 +337,9 @@ int64_t conv_batch_dense_i8(const float* x_base, int64_t in_floats,
 // per-group dynamic activation quantization into the VNNI layout ->
 // u8xs8 igemm writing dequantized f32 y_sub -> the f32 scatter. The
 // caller's fused epilogue then applies unchanged to the f32 output.
-// Same invocation regimes as conv_group_masked. Returns logical MACs.
-// `tile` > 0 tiles the channel path over output positions (per-tile
-// activation scales, like conv_batch_dense_i8; f32 gather/scatter and the
-// caller's epilogue are unchanged).
+// Same invocation regimes and column tiles as conv_group_masked. One
+// activation scale covers one tile of the whole group (per group at full
+// width), like conv_batch_dense_i8. Returns logical MACs.
 int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
                              const ConvGeom& g, const Int8ConvWeights& qw,
                              int out_c, const float* bias,
@@ -350,14 +350,13 @@ int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
                              int64_t out_floats, Workspace& ws,
                              int64_t tile = 0);
 
-// Worst-case arena bytes of one conv_batch_dense call at batch n. With
-// `int8_regime` the bound also covers the int8 dense path (quantized
+// Worst-case arena bytes of one conv_batch_dense call (batch-independent).
+// With `int8_regime` the bound also covers the int8 dense path (quantized
 // column buffer; the f32 formula is kept in the max so a regime flip
-// after reserve stays safe). `tile` must match the execution call: the
-// tiled formulas replace the full [patch x pos] panel with the tile panel
-// + tile output, and gemm_nn_scratch_bytes is monotone in n, so the
-// full-width tile bounds every ragged tail exactly.
-size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c, int n,
+// after reserve stays safe). `tile` must match the execution call; any
+// tile >= out_positions() (or <= 0) is the same full-width tile and gives
+// the same bytes.
+size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c,
                                       bool int8_regime = false,
                                       int64_t tile = 0);
 
@@ -367,8 +366,9 @@ size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c, int n,
 // the grid AND `spatial_masks`; the int8 channel path when `int8_regime`).
 // Monotone in gs, so a batch's worst case over any grouping is the
 // single-group-of-n value (groups run sequentially between rewinds).
-// `tile` must match the execution call; the spatial path never tiles, so
-// its untiled O(gs * pos) footprint stays in the max whenever it is
+// `tile` must match the execution call (same effective width as
+// conv_batch_dense_scratch_bytes); the spatial path never tiles, so
+// its full-width O(gs * pos) footprint stays in the max whenever it is
 // accounted. Callers that know position masks can never reach the conv
 // (no spatially-aligned gate feeds it) pass spatial_masks = false, which
 // is what lets a tiled plan's reserved arena stay sub-linear in the

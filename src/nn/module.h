@@ -116,7 +116,6 @@ class Sequential : public Module {
   }
 
   Tensor forward(const Tensor& x) override;
-  Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   void visit_state(const std::string& prefix, const StateVisitor& fn) override;

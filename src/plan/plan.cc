@@ -107,8 +107,7 @@ size_t conv_step_scratch_bytes(const PlanOp& op, int n, bool int8_regime) {
   // whether or not spatial masks can occur.
   const bool spatial = op.prune_spatial;
   const size_t dense =
-      nn::conv_batch_dense_scratch_bytes(g, out_c, n, int8_regime,
-                                         op.tile_pos);
+      nn::conv_batch_dense_scratch_bytes(g, out_c, int8_regime, op.tile_pos);
   size_t masked_kernel = nn::conv_group_masked_scratch_bytes(
       g, out_c, n, int8_regime, op.tile_pos, spatial);
   const int threads = compute_threads();
@@ -1085,6 +1084,32 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
             }
             ws.rewind(coarsen_mark);
           }
+          // One group through its kernel: int8 channel-masked groups take
+          // the igemm, everything else (f32, and the f32 shift-GEMM
+          // fallback for spatial masks) the f32 kernel. `cache` is the
+          // op's pack cache in the sequential regime, nullptr when the
+          // group runs on a pool worker over its private slice `gws`.
+          const auto run_group = [&](int gi, Workspace& gws,
+                                     nn::WeightPanelCache* cache) {
+            const int gb = group_begin[gi];
+            const int ge = group_begin[gi + 1];
+            obs::PhaseScope group_span(obs::Phase::kGroup, op_index);
+            const nn::ConvRuntimeMask& gm =
+                gmask != nullptr ? *gmask[gi]
+                                 : masks[static_cast<size_t>(order[gb])];
+            const std::span<const int> gsamples(order + gb,
+                                                static_cast<size_t>(ge - gb));
+            if (int8 && gm.positions.empty()) {
+              return nn::conv_group_masked_i8(
+                  in.data(), in_floats, g, op.int8_w, out_c, bp, gm,
+                  gsamples, ids, cache, out.data(), out_floats, gws,
+                  op.tile_pos);
+            }
+            return nn::conv_group_masked(in.data(), in_floats, g, wp, out_c,
+                                         bp, gm, gsamples, ids, cache,
+                                         out.data(), out_floats, gws,
+                                         op.tile_pos);
+          };
           const int width = group_parallel_width(threads, groups);
           if (width >= 2) {
             // Cross-group parallel: whole groups dispatch to pool workers
@@ -1133,27 +1158,7 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
                     int64_t local = 0;
                     for (int gi = static_cast<int>(w); gi < groups;
                          gi += width) {
-                      const int gb = group_begin[gi];
-                      const int ge = group_begin[gi + 1];
-                      obs::PhaseScope group_span(obs::Phase::kGroup,
-                                                 op_index);
-                      const nn::ConvRuntimeMask& gm =
-                          gmask != nullptr
-                              ? *gmask[gi]
-                              : masks[static_cast<size_t>(order[gb])];
-                      const std::span<const int> gsamples(
-                          order + gb, static_cast<size_t>(ge - gb));
-                      if (int8 && gm.positions.empty()) {
-                        local += nn::conv_group_masked_i8(
-                            in.data(), in_floats, g, op.int8_w, out_c, bp,
-                            gm, gsamples, ids, /*cache=*/nullptr,
-                            out.data(), out_floats, slice, op.tile_pos);
-                      } else {
-                        local += nn::conv_group_masked(
-                            in.data(), in_floats, g, wp, out_c, bp, gm,
-                            gsamples, ids, /*cache=*/nullptr, out.data(),
-                            out_floats, slice, op.tile_pos);
-                      }
+                      local += run_group(gi, slice, /*cache=*/nullptr);
                     }
                     worker_macs[w].macs = local;
                   }
@@ -1163,25 +1168,7 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
             op.pack_cache.bypass.add(groups);
           } else {
             for (int gi = 0; gi < groups; ++gi) {
-              const int gb = group_begin[gi];
-              const int ge = group_begin[gi + 1];
-              obs::PhaseScope group_span(obs::Phase::kGroup, op_index);
-              const nn::ConvRuntimeMask& gm =
-                  gmask != nullptr ? *gmask[gi]
-                                   : masks[static_cast<size_t>(order[gb])];
-              const std::span<const int> gsamples(
-                  order + gb, static_cast<size_t>(ge - gb));
-              if (int8 && gm.positions.empty()) {
-                macs += nn::conv_group_masked_i8(
-                    in.data(), in_floats, g, op.int8_w, out_c, bp, gm,
-                    gsamples, ids, &op.pack_cache, out.data(), out_floats,
-                    ws, op.tile_pos);
-              } else {
-                macs += nn::conv_group_masked(in.data(), in_floats, g, wp,
-                                              out_c, bp, gm, gsamples, ids,
-                                              &op.pack_cache, out.data(),
-                                              out_floats, ws, op.tile_pos);
-              }
+              macs += run_group(gi, ws, &op.pack_cache);
             }
           }
           op.last_groups = groups;

@@ -9,53 +9,13 @@ namespace antidote {
 
 namespace {
 
-// Fills one lowered row — channel plane x kernel offset (kh, kw) — of
-// out_positions() values into `dst`. For stride-1 geometry each output row
-// maps to a contiguous span of the input row, so the interior is a single
-// memcpy bracketed by zeroed padding edges; strided geometry keeps the
+// Fills positions [p0, p1) of one lowered row — channel plane x kernel
+// offset (kh, kw) — into dst[0 .. p1-p0); the full row is [0, pos). For
+// stride-1 geometry each output row maps to a contiguous span of the
+// input row, so the interior is a single memcpy (clamped to the column
+// window) bracketed by zeroed padding edges; strided geometry keeps the
 // scalar walk. Values (and therefore bits) match the reference loop
 // exactly — this is pure data movement.
-inline void lower_row(const float* plane, const ConvGeom& g, int kh, int kw,
-                      float* dst) {
-  const int oh = g.out_h(), ow = g.out_w();
-  for (int y = 0; y < oh; ++y) {
-    const int iy = y * g.stride - g.pad + kh;
-    float* d = dst + static_cast<int64_t>(y) * ow;
-    if (iy < 0 || iy >= g.in_h) {
-      std::memset(d, 0, static_cast<size_t>(ow) * sizeof(float));
-      continue;
-    }
-    const float* src = plane + static_cast<int64_t>(iy) * g.in_w;
-    if (g.stride == 1) {
-      // ix = x + kx_off; valid input columns are the contiguous span
-      // [x0, x1) of output columns.
-      const int kx_off = kw - g.pad;
-      const int x0 = kx_off < 0 ? -kx_off : 0;
-      int x1 = g.in_w - kx_off;
-      if (x1 > ow) x1 = ow;
-      if (x1 < x0) x1 = x0;
-      if (x0 > 0) std::memset(d, 0, static_cast<size_t>(x0) * sizeof(float));
-      if (x1 > x0) {
-        std::memcpy(d + x0, src + kx_off + x0,
-                    static_cast<size_t>(x1 - x0) * sizeof(float));
-      }
-      if (x1 < ow) {
-        std::memset(d + x1, 0, static_cast<size_t>(ow - x1) * sizeof(float));
-      }
-    } else {
-      for (int x = 0; x < ow; ++x) {
-        const int ix = x * g.stride - g.pad + kw;
-        d[x] = (ix >= 0 && ix < g.in_w) ? src[ix] : 0.f;
-      }
-    }
-  }
-}
-
-// Fills positions [p0, p1) of one lowered row into dst[0 .. p1-p0).
-// Produces the same bytes as the matching slice of lower_row: the
-// stride-1 fast path copies from the identical source span, clamped to
-// the tile's column window, and the padding edges are zeroed with the
-// same semantics.
 inline void lower_row_span(const float* plane, const ConvGeom& g, int kh,
                            int kw, int64_t p0, int64_t p1, float* dst) {
   const int ow = g.out_w();
@@ -134,17 +94,8 @@ void im2col(const float* input, const ConvGeom& g, float* cols) {
 
 void im2col_range(const float* input, const ConvGeom& g, int c0, int c1,
                   float* cols) {
-  AD_CHECK(0 <= c0 && c0 <= c1 && c1 <= g.in_c) << " im2col channel range";
-  const int64_t n_cols = g.out_positions();
-  int64_t row = static_cast<int64_t>(c0) * g.k_h * g.k_w;
-  for (int c = c0; c < c1; ++c) {
-    const float* plane = input + static_cast<int64_t>(c) * g.in_h * g.in_w;
-    for (int kh = 0; kh < g.k_h; ++kh) {
-      for (int kw = 0; kw < g.k_w; ++kw, ++row) {
-        lower_row(plane, g, kh, kw, cols + row * n_cols);
-      }
-    }
-  }
+  const int64_t pos = g.out_positions();
+  im2col_range_pos(input, g, c0, c1, 0, pos, cols, pos);
 }
 
 void im2col_range_pos(const float* input, const ConvGeom& g, int c0, int c1,
@@ -235,7 +186,7 @@ void im2col_gather_ld(const float* input, const ConvGeom& g,
         float* out_row = cols + row * ld;
         if (identity) {
           // Every position kept: this lowered row is the dense one.
-          lower_row(plane, g, kh, kw, out_row);
+          lower_row_span(plane, g, kh, kw, 0, n_cols, out_row);
           continue;
         }
         // Kept positions are strictly increasing, so (y, x) advance

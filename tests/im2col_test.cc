@@ -187,9 +187,10 @@ TEST(Col2im, IsAdjointOfIm2col) {
 // consumes bit-identical operands and the conv output cannot drift.
 
 TEST(Im2colTiled, RangePosMatchesFullColumnSlices) {
-  // Stride-1/pad-1, stride-2/pad-0 and 1x1 geometries; tile width 7 does
-  // not divide any of their position counts, so every sweep ends in a
-  // ragged tail tile.
+  // Stride-1/pad-1, stride-2/pad-0 and 1x1 geometries. Tile width 7 does
+  // not divide any of their position counts, so that sweep ends in a
+  // ragged tail tile; widths pos and pos + 5 are the single full-width
+  // tile the untiled kernels run.
   const ConvGeom geoms[] = {
       {3, 10, 9, 3, 3, 1, 1},
       {2, 11, 7, 3, 3, 2, 0},
@@ -203,23 +204,25 @@ TEST(Im2colTiled, RangePosMatchesFullColumnSlices) {
     Tensor dense({rows, pos});
     im2col(x.data(), g, dense.data());
 
-    const int64_t tile = 7;
-    const int64_t ld = tile + 3;  // ld > tile width: padded panel layout
-    Tensor panel({rows, static_cast<int>(ld)});
-    for (int64_t p0 = 0; p0 < pos; p0 += tile) {
-      const int64_t p1 = std::min<int64_t>(p0 + tile, pos);
-      panel.fill(-7.5f);
-      im2col_range_pos(x.data(), g, 0, g.in_c, p0, p1, panel.data(), ld);
-      for (int r = 0; r < rows; ++r) {
-        for (int64_t j = p0; j < p1; ++j) {
-          ASSERT_EQ(panel.at({r, static_cast<int>(j - p0)}),
-                    dense.at({r, static_cast<int>(j)}))
-              << "geom k=" << g.k_h << " stride=" << g.stride
-              << " pad=" << g.pad << " row " << r << " col " << j;
-        }
-        // The ld slack past the tile must stay untouched.
-        for (int64_t j = p1 - p0; j < ld; ++j) {
-          ASSERT_EQ(panel.at({r, static_cast<int>(j)}), -7.5f);
+    for (const int64_t tile : {int64_t{7}, int64_t{pos}, int64_t{pos} + 5}) {
+      const int64_t ld = tile + 3;  // ld > tile width: padded panel layout
+      Tensor panel({rows, static_cast<int>(ld)});
+      for (int64_t p0 = 0; p0 < pos; p0 += tile) {
+        const int64_t p1 = std::min<int64_t>(p0 + tile, pos);
+        panel.fill(-7.5f);
+        im2col_range_pos(x.data(), g, 0, g.in_c, p0, p1, panel.data(), ld);
+        for (int r = 0; r < rows; ++r) {
+          for (int64_t j = p0; j < p1; ++j) {
+            ASSERT_EQ(panel.at({r, static_cast<int>(j - p0)}),
+                      dense.at({r, static_cast<int>(j)}))
+                << "geom k=" << g.k_h << " stride=" << g.stride
+                << " pad=" << g.pad << " tile " << tile << " row " << r
+                << " col " << j;
+          }
+          // The ld slack past the tile must stay untouched.
+          for (int64_t j = p1 - p0; j < ld; ++j) {
+            ASSERT_EQ(panel.at({r, static_cast<int>(j)}), -7.5f);
+          }
         }
       }
     }
@@ -260,7 +263,8 @@ TEST(Im2colTiled, RangePosChannelSubrangeWritesAbsoluteRows) {
 TEST(Im2colTiled, GatherPosLdMatchesGatherColumnSlices) {
   // Channel-masked tiled lowering vs the full gathered lowering: the tile
   // is the exact [p0, p1) column slice, for stride-1/pad-1 and the
-  // stride-2/pad-0 downsampling geometry.
+  // stride-2/pad-0 downsampling geometry, at a ragged width (5 divides
+  // neither 72 nor 25) and at the full-width tiles pos and pos + 4.
   const ConvGeom geoms[] = {
       {3, 9, 8, 3, 3, 1, 1},
       {3, 11, 9, 3, 3, 2, 0},
@@ -276,19 +280,20 @@ TEST(Im2colTiled, GatherPosLdMatchesGatherColumnSlices) {
     Tensor full({rows, pos});
     im2col_gather_ld(x.data(), g, channels, iota_vec(pos), full.data(), pos);
 
-    const int64_t tile = 5;  // ragged: 5 divides neither 72 nor 25
-    Tensor panel({rows, static_cast<int>(tile)});
-    for (int64_t p0 = 0; p0 < pos; p0 += tile) {
-      const int64_t p1 = std::min<int64_t>(p0 + tile, pos);
-      panel.fill(-1.5f);
-      im2col_gather_pos_ld(x.data(), g, channels, p0, p1, panel.data(),
-                           tile);
-      for (int r = 0; r < rows; ++r) {
-        for (int64_t j = p0; j < p1; ++j) {
-          ASSERT_EQ(panel.at({r, static_cast<int>(j - p0)}),
-                    full.at({r, static_cast<int>(j)}))
-              << "stride=" << g.stride << " pad=" << g.pad << " row " << r
-              << " col " << j;
+    for (const int64_t tile : {int64_t{5}, int64_t{pos}, int64_t{pos} + 4}) {
+      Tensor panel({rows, static_cast<int>(tile)});
+      for (int64_t p0 = 0; p0 < pos; p0 += tile) {
+        const int64_t p1 = std::min<int64_t>(p0 + tile, pos);
+        panel.fill(-1.5f);
+        im2col_gather_pos_ld(x.data(), g, channels, p0, p1, panel.data(),
+                             tile);
+        for (int r = 0; r < rows; ++r) {
+          for (int64_t j = p0; j < p1; ++j) {
+            ASSERT_EQ(panel.at({r, static_cast<int>(j - p0)}),
+                      full.at({r, static_cast<int>(j)}))
+                << "stride=" << g.stride << " pad=" << g.pad << " tile "
+                << tile << " row " << r << " col " << j;
+          }
         }
       }
     }

@@ -9,12 +9,14 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "models/factory.h"
 #include "models/small_cnn.h"
+#include "nn/conv_kernels.h"
 #include "nn/execution_context.h"
 #include "plan/plan.h"
 #include "tensor/tensor.h"
@@ -410,12 +412,98 @@ TEST(InferencePlan, ArenaBytesScaleWithBatchAndCoverEveryBatchSize) {
 
 // --- spatially-tiled lowering ------------------------------------------------
 
+// The four batch conv kernels at tile 0 (untiled) against a ragged width
+// (16 does not divide the 99 positions), tile == pos and tile > pos, the
+// last two being the same single full-width tile. f32 output matches tile
+// 0 bitwise at every width. Int8 matches it bitwise at the full-width
+// tiles, where one activation scale still covers a whole sample (dense) or
+// group (masked); a narrower tile quantizes per tile, so it is not
+// compared. The scratch-byte functions report the same bytes for every
+// full-width tile.
+void expect_kernel_tile_parity() {
+  const ConvGeom g{5, 9, 11, 3, 3, 1, 1};
+  const int out_c = 6, n = 3;
+  const int64_t pos = g.out_positions();
+  const int64_t in_floats = static_cast<int64_t>(g.in_c) * g.in_h * g.in_w;
+  const int64_t out_floats = out_c * pos;
+  Rng rng(23);
+  Tensor x = Tensor::randn({n, g.in_c, g.in_h, g.in_w}, rng);
+  Tensor w = Tensor::randn({out_c, static_cast<int>(g.patch_rows())}, rng);
+  Tensor bias = Tensor::randn({out_c}, rng);
+  nn::Int8ConvWeights qw;
+  nn::quantize_conv_weights(w.data(), out_c, g.in_c, g.k_h * g.k_w, qw);
+  std::vector<int> iota(static_cast<size_t>(pos));
+  std::iota(iota.begin(), iota.end(), 0);
+  const nn::ConvIdentityIndices ids{iota.data(), iota.data(), iota.data()};
+  nn::ConvRuntimeMask m;
+  m.channels = {0, 2, 3};
+  m.out_channels = {1, 4, 5};
+  const std::vector<int> samples = {2, 0};
+  Workspace ws;
+
+  auto run = [&](int kernel, int64_t tile) {
+    std::vector<float> y(static_cast<size_t>(n * out_floats), 0.f);
+    switch (kernel) {
+      case 0:
+        nn::conv_batch_dense(x.data(), in_floats, g, w.data(), out_c,
+                             bias.data(), n, y.data(), out_floats, ws, tile);
+        break;
+      case 1:
+        nn::conv_batch_dense_i8(x.data(), in_floats, g, qw, out_c,
+                                bias.data(), n, y.data(), out_floats, ws,
+                                tile);
+        break;
+      case 2:
+        nn::conv_group_masked(x.data(), in_floats, g, w.data(), out_c,
+                              bias.data(), m, samples, ids,
+                              /*cache=*/nullptr, y.data(), out_floats, ws,
+                              tile);
+        break;
+      default:
+        nn::conv_group_masked_i8(x.data(), in_floats, g, qw, out_c,
+                                 bias.data(), m, samples, ids,
+                                 /*cache=*/nullptr, y.data(), out_floats, ws,
+                                 tile);
+        break;
+    }
+    return y;
+  };
+  const char* const names[] = {"dense f32", "dense int8", "group f32",
+                               "group int8"};
+  for (int k = 0; k < 4; ++k) {
+    const bool int8 = k % 2 == 1;
+    const std::vector<float> ref = run(k, 0);
+    for (const int64_t tile : {int64_t{16}, pos, pos + 7}) {
+      if (int8 && tile < pos) continue;
+      const std::vector<float> y = run(k, tile);
+      EXPECT_EQ(std::memcmp(ref.data(), y.data(), ref.size() * sizeof(float)),
+                0)
+          << names[k] << " tile " << tile;
+    }
+  }
+  for (const bool int8 : {false, true}) {
+    const size_t dense = nn::conv_batch_dense_scratch_bytes(g, out_c, int8, 0);
+    const size_t group =
+        nn::conv_group_masked_scratch_bytes(g, out_c, n, int8, 0);
+    for (const int64_t tile : {pos, pos + 7}) {
+      EXPECT_EQ(nn::conv_batch_dense_scratch_bytes(g, out_c, int8, tile),
+                dense)
+          << "int8 " << int8 << " tile " << tile;
+      EXPECT_EQ(nn::conv_group_masked_scratch_bytes(g, out_c, n, int8, tile),
+                group)
+          << "int8 " << int8 << " tile " << tile;
+    }
+  }
+}
+
 TEST(InferencePlan, ForcedTileBitwiseAndZeroGrowthsAcrossModels) {
   // --tile=96 forces tiling even at test-scale resolutions where auto
   // declines (96 divides none of the per-layer position counts, so every
   // sweep exercises a ragged tail tile). Tiled output must stay bitwise
   // identical to the untiled plan, and the tile-aware arena sizing must
-  // stay exact from the first pass.
+  // stay exact from the first pass. The kernel-level sweep covers the
+  // widths a plan cannot select: tile == pos and tile > pos.
+  expect_kernel_tile_parity();
   const int batch = 2;
   for (const Case& c : kCases) {
     Rng rng(17);
