@@ -38,6 +38,35 @@ void BM_GemmNN(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNN)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
+// gemm_nn at the GEMM shapes of the masked vgg16 w0.5 32x32 workload
+// (m x n x k): the 2x2 layers' spatial shift-GEMMs (n = group x kept
+// positions, all ragged edge tiles), a channel-masked 4x4 layer, and the
+// wide-N early layers. The GMAC rate counter is the per-shape kernel speed.
+void BM_GemmNNShape(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const int k = static_cast<int>(state.range(2));
+  Rng rng(2);
+  Tensor a = Tensor::randn({m, k}, rng);
+  Tensor b = Tensor::randn({k, n}, rng);
+  Tensor c({m, n});
+  for (auto _ : state) {
+    gemm_nn(m, n, k, 1.f, a.data(), b.data(), 0.f, c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  const double macs = static_cast<double>(m) * n * k;
+  state.SetItemsProcessed(state.iterations() * 2LL * m * n * k);
+  state.counters["GMAC"] = benchmark::Counter(
+      macs * 1e-9 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmNNShape)
+    ->Args({2304, 12, 200})
+    ->Args({2304, 3, 179})
+    ->Args({256, 32, 1827})
+    ->Args({288, 819, 22})
+    ->Args({576, 205, 45});
+
 void BM_GemmNT(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(11);

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "base/error.h"
-#include "tensor/ops.h"
 
 namespace antidote::core {
 
@@ -42,23 +41,41 @@ void select_kept_into(std::span<const float> attention, float drop_ratio,
                       std::vector<int>& kept) {
   const int n = static_cast<int>(attention.size());
   const int k = kept_count(n, drop_ratio);
-  switch (order) {
-    case MaskOrder::kAttention:
-      ops::topk_indices_into(attention, k, scratch, kept);
-      break;
-    case MaskOrder::kInverseAttention:
-      ops::bottomk_indices_into(attention, k, scratch, kept);
-      break;
-    case MaskOrder::kRandom: {
-      // Same draw as Rng::permutation: shuffle of iota, first k kept.
-      scratch.resize(static_cast<size_t>(n));
-      std::iota(scratch.begin(), scratch.end(), 0);
-      rng.shuffle(scratch);
-      kept.assign(scratch.begin(), scratch.begin() + k);
-      break;
-    }
+  if (order == MaskOrder::kRandom) {
+    // Same draw as Rng::permutation: shuffle of iota, first k kept.
+    scratch.resize(static_cast<size_t>(n));
+    std::iota(scratch.begin(), scratch.end(), 0);
+    rng.shuffle(scratch);
+    kept.assign(scratch.begin(), scratch.begin() + k);
+    std::sort(kept.begin(), kept.end());
+    return;
   }
-  std::sort(kept.begin(), kept.end());
+  if (k == n) {
+    kept.resize(static_cast<size_t>(n));
+    std::iota(kept.begin(), kept.end(), 0);
+    return;
+  }
+  // Rank order: by value (descending for attention, ascending for inverse),
+  // ties to the lower index, the strict total order ops::topk_indices and
+  // ops::bottomk_indices select by. One nth_element finds the k-th ranked
+  // index; one ascending sweep keeps i iff i is that pivot or ranks before
+  // it. That is the set a full sort would select, already in index order.
+  const bool top = order == MaskOrder::kAttention;
+  const auto before = [&](int a, int b) {
+    const float va = attention[static_cast<size_t>(a)];
+    const float vb = attention[static_cast<size_t>(b)];
+    return va != vb ? (top ? va > vb : va < vb) : a < b;
+  };
+  scratch.resize(static_cast<size_t>(n));
+  std::iota(scratch.begin(), scratch.end(), 0);
+  std::nth_element(scratch.begin(), scratch.begin() + (k - 1), scratch.end(),
+                   before);
+  const int pivot = scratch[static_cast<size_t>(k - 1)];
+  kept.clear();
+  kept.reserve(static_cast<size_t>(k));
+  for (int i = 0; i < n; ++i) {
+    if (i == pivot || before(i, pivot)) kept.push_back(i);
+  }
 }
 
 std::vector<uint8_t> kept_to_mask(std::span<const int> kept, int n) {

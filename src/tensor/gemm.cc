@@ -149,16 +149,15 @@ void micro_kernel(int kc, const float* ap, const float* bp, float* c,
     }
     return;
   }
-  // Edge tile: accumulate directly, same per-element order.
-  for (int p = 0; p < kc; ++p) {
-    const float* arow = ap + static_cast<int64_t>(p) * kMR;
-    const float* brow = bp + static_cast<int64_t>(p) * kNR;
-    for (int i = 0; i < mw; ++i) {
-      const float av = arow[i];
-      float* crow = c + i * ldc;
-      for (int j = 0; j < jw; ++j) crow[j] += av * brow[j];
-    }
-  }
+  // Ragged edge tile (mw < kMR or jw < kNR; every tile of a GEMM with
+  // n < kNR): run the full register tile on a zeroed 256-byte stack copy
+  // of the valid corner. The packed panels are already zero past m and n,
+  // so the padding lanes need nothing, and each valid element still sees
+  // the same multiply-then-add sequence from the same starting value.
+  alignas(32) float tile[kMR * kNR] = {};
+  for (int i = 0; i < mw; ++i) std::copy_n(c + i * ldc, jw, tile + i * kNR);
+  micro_kernel(kc, ap, bp, tile, kNR, kMR, kNR);
+  for (int i = 0; i < mw; ++i) std::copy_n(tile + i * kNR, jw, c + i * ldc);
 }
 
 // Reference-order kernel for small problems (and the packing cutoff).

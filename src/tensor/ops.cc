@@ -192,63 +192,39 @@ std::vector<int> argmax_rows(const Tensor& logits) {
   return out;
 }
 
-// The allocating variants are thin wrappers over the _into ones so there
-// is exactly one selection algorithm — the hot-path bitwise-parity
-// contract (select_kept vs select_kept_into) depends on that.
+namespace {
+
+// The k indices of `values` that rank first under `before`, in rank order.
+// `before` orders by value and breaks ties to the lower index, a strict
+// total order, so the output is deterministic.
+template <typename Before>
+std::vector<int> first_k_ranked(std::span<const float> values, int k,
+                                Before before) {
+  AD_CHECK(k >= 0 && k <= static_cast<int>(values.size()))
+      << " k=" << k << " n=" << values.size();
+  std::vector<int> idx(values.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  std::partial_sort(idx.begin(), idx.begin() + k, idx.end(), before);
+  idx.resize(static_cast<size_t>(k));
+  return idx;
+}
+
+}  // namespace
+
 std::vector<int> topk_indices(std::span<const float> values, int k) {
-  std::vector<int> scratch, out;
-  topk_indices_into(values, k, scratch, out);
-  return out;
+  return first_k_ranked(values, k, [&](int a, int b) {
+    const float va = values[static_cast<size_t>(a)];
+    const float vb = values[static_cast<size_t>(b)];
+    return va != vb ? va > vb : a < b;
+  });
 }
 
 std::vector<int> bottomk_indices(std::span<const float> values, int k) {
-  std::vector<int> scratch, out;
-  bottomk_indices_into(values, k, scratch, out);
-  return out;
-}
-
-void topk_indices_into(std::span<const float> values, int k,
-                       std::vector<int>& scratch, std::vector<int>& out) {
-  AD_CHECK(k >= 0 && k <= static_cast<int>(values.size()))
-      << " topk k=" << k << " n=" << values.size();
-  scratch.resize(values.size());
-  std::iota(scratch.begin(), scratch.end(), 0);
-  auto greater = [&](int a, int b) {
-    if (values[static_cast<size_t>(a)] != values[static_cast<size_t>(b)]) {
-      return values[static_cast<size_t>(a)] > values[static_cast<size_t>(b)];
-    }
-    return a < b;  // deterministic tie-break
-  };
-  // nth_element (O(n)) + sort of the k prefix beats partial_sort's
-  // O(n log k) for the attention-sized inputs of the gate hot path; the
-  // comparator is a strict total order, so the selected set — and after
-  // the prefix sort, the exact output — matches the allocating variant.
-  if (k > 0 && k < static_cast<int>(scratch.size())) {
-    std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
-                     scratch.end(), greater);
-  }
-  std::sort(scratch.begin(), scratch.begin() + k, greater);
-  out.assign(scratch.begin(), scratch.begin() + k);
-}
-
-void bottomk_indices_into(std::span<const float> values, int k,
-                          std::vector<int>& scratch, std::vector<int>& out) {
-  AD_CHECK(k >= 0 && k <= static_cast<int>(values.size()))
-      << " bottomk k=" << k << " n=" << values.size();
-  scratch.resize(values.size());
-  std::iota(scratch.begin(), scratch.end(), 0);
-  auto less = [&](int a, int b) {
-    if (values[static_cast<size_t>(a)] != values[static_cast<size_t>(b)]) {
-      return values[static_cast<size_t>(a)] < values[static_cast<size_t>(b)];
-    }
-    return a < b;
-  };
-  if (k > 0 && k < static_cast<int>(scratch.size())) {
-    std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
-                     scratch.end(), less);
-  }
-  std::sort(scratch.begin(), scratch.begin() + k, less);
-  out.assign(scratch.begin(), scratch.begin() + k);
+  return first_k_ranked(values, k, [&](int a, int b) {
+    const float va = values[static_cast<size_t>(a)];
+    const float vb = values[static_cast<size_t>(b)];
+    return va != vb ? va < vb : a < b;
+  });
 }
 
 Tensor softmax_rows(const Tensor& logits) {

@@ -56,13 +56,6 @@ std::vector<int> argmax_rows(const Tensor& logits);
 std::vector<int> topk_indices(std::span<const float> values, int k);
 // Indices of the k smallest values (ascending, deterministic).
 std::vector<int> bottomk_indices(std::span<const float> values, int k);
-// Reusable-buffer variants: `scratch` and `out` keep their capacity across
-// calls, so a steady-shape caller stops allocating after warm-up. Results
-// are identical to the allocating variants.
-void topk_indices_into(std::span<const float> values, int k,
-                       std::vector<int>& scratch, std::vector<int>& out);
-void bottomk_indices_into(std::span<const float> values, int k,
-                          std::vector<int>& scratch, std::vector<int>& out);
 
 // --- classification helpers ---
 // Row-wise softmax of a [N, K] tensor.

@@ -2,7 +2,9 @@
 // (Eq. 3 / Eq. 4), including the ordering variants of Fig. 2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "base/error.h"
 #include "core/attention.h"
@@ -118,6 +120,39 @@ TEST(Mask, AttentionAndInverseArePerfectlyOpposed) {
   all.insert(bottom.begin(), bottom.end());
   EXPECT_EQ(all.size(), 10u);
   EXPECT_EQ(top.size() + bottom.size(), 10u);
+}
+
+// select_kept_into picks its set with one nth_element and an index-order
+// sweep. It must keep exactly the set of the sort-based definition: the
+// ops::topk_indices / bottomk_indices selection (value order, ties to the
+// lower index), sorted by index. Values are quantized to a few levels so
+// most entries tie, and one scratch/kept pair is reused across all calls.
+TEST(Mask, SelectKeptMatchesSortedTopK) {
+  Rng data_rng(29), unused_rng(1);
+  std::vector<int> scratch = {7, 7, 7}, kept = {-1};
+  for (int n : {1, 2, 31, 256, 1024}) {
+    for (int levels : {2, 5, 1 << 20}) {
+      std::vector<float> att(static_cast<size_t>(n));
+      for (float& v : att) {
+        v = static_cast<float>(data_rng.randint(-levels / 2, levels)) /
+            static_cast<float>(levels);
+      }
+      for (float drop : {0.f, 0.2f, 0.5f, 0.99f, 1.f}) {
+        const int k = kept_count(n, drop);
+        for (MaskOrder order :
+             {MaskOrder::kAttention, MaskOrder::kInverseAttention}) {
+          std::vector<int> expect = order == MaskOrder::kAttention
+                                        ? ops::topk_indices(att, k)
+                                        : ops::bottomk_indices(att, k);
+          std::sort(expect.begin(), expect.end());
+          select_kept_into(att, drop, order, unused_rng, scratch, kept);
+          ASSERT_EQ(kept, expect) << "n " << n << " levels " << levels
+                                  << " drop " << drop << " order "
+                                  << mask_order_name(order);
+        }
+      }
+    }
+  }
 }
 
 TEST(Mask, KeptToMaskExpandsCorrectly) {

@@ -2,6 +2,8 @@
 // variants, alpha/beta combinations, and a parameterized shape sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "base/error.h"
@@ -139,6 +141,73 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<AlphaBeta>& info) {
       return "case" + std::to_string(info.index);
     });
+
+// gemm_nn's bitwise contract, which the plan-vs-module-walk memcmp gates
+// rest on: every C element starts from beta*C (beta 0 clears it, beta 1
+// leaves it) and then takes, in ascending k, the product (alpha*a)*b
+// added as a separate step. This reference spells that order out in
+// float; with contraction off (the library's kernel TUs force it, and
+// ISO C++ mode leaves it off here) the results must match to the bit.
+void kernel_order_gemm_nn(int m, int n, int k, float alpha, const float* a,
+                          const float* b, float beta, float* c) {
+  if (beta == 0.f) std::fill(c, c + static_cast<int64_t>(m) * n, 0.f);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float acc = c[static_cast<int64_t>(i) * n + j];
+      for (int p = 0; p < k; ++p) {
+        const float av = alpha * a[static_cast<int64_t>(i) * k + p];
+        const float prod = av * b[static_cast<int64_t>(p) * n + j];
+        acc = acc + prod;
+      }
+      c[static_cast<int64_t>(i) * n + j] = acc;
+    }
+  }
+}
+
+// Every n below, at every k, is run at m = 2304 (the spatial shift-GEMM's
+// m), so each lands above the packed-kernel cutoff; n < 16 is nothing but
+// ragged edge tiles, and k = 257 spans two K slabs. The smaller m also
+// cover the short-row edge and the simple kernel, held to the same order.
+TEST(Gemm, NnBitwiseMatchesKernelOrder) {
+  Rng rng(41);
+  for (int n : {1, 3, 8, 12, 15, 17, 33}) {
+    for (int m : {1, 3, 5, 2304}) {
+      for (int k : {22, 200, 257}) {
+        for (float beta : {0.f, 1.f}) {
+          const float alpha = 1.f;
+          const auto a = random_vec(static_cast<size_t>(m) * k, rng);
+          const auto b = random_vec(static_cast<size_t>(k) * n, rng);
+          const auto c0 = random_vec(static_cast<size_t>(m) * n, rng);
+          auto c = c0, ref = c0;
+          gemm_nn(m, n, k, alpha, a.data(), b.data(), beta, c.data());
+          kernel_order_gemm_nn(m, n, k, alpha, a.data(), b.data(), beta,
+                               ref.data());
+          ASSERT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)),
+                    0)
+              << "m" << m << " n" << n << " k" << k << " beta " << beta;
+        }
+      }
+    }
+  }
+}
+
+// alpha is folded into A before the product; a non-unit alpha must round
+// exactly as (alpha*a)*b, not alpha*(a*b).
+TEST(Gemm, NnBitwiseMatchesKernelOrderWithAlpha) {
+  Rng rng(43);
+  for (int n : {3, 17}) {
+    const int m = 2304, k = 200;
+    const float alpha = 1.3f;
+    const auto a = random_vec(static_cast<size_t>(m) * k, rng);
+    const auto b = random_vec(static_cast<size_t>(k) * n, rng);
+    const auto c0 = random_vec(static_cast<size_t>(m) * n, rng);
+    auto c = c0, ref = c0;
+    gemm_nn(m, n, k, alpha, a.data(), b.data(), 1.f, c.data());
+    kernel_order_gemm_nn(m, n, k, alpha, a.data(), b.data(), 1.f, ref.data());
+    ASSERT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)), 0)
+        << "n" << n;
+  }
+}
 
 // Repeated beta=1 accumulation into the same C (the weight-gradient
 // pattern: dW += dY * cols^T across batch samples) for every variant.
